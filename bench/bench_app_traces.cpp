@@ -6,12 +6,11 @@
 // scenario-diversity axis the trace-driven StarSs literature (CppSs,
 // Niethammer et al.) evaluates on instead of micro-patterns.
 //
-// Grid: {nexus++, nexus-banked, software-rts} x four trace files, 16
-// workers, baseline per series = software-rts. Read off the table how the
-// hardware task manager's advantage shifts with application shape:
-// factorization DAGs have wide trailing-matrix fan-out (plenty of ready
-// tasks), the wavefront ramps, the sparse stream serializes along dense
-// clusters.
+// Grid: {nexus++, software-rts} x four trace files, 16 workers, baseline
+// per series = software-rts. Read off the table how the hardware task
+// manager's advantage shifts with application shape: factorization DAGs
+// have wide trailing-matrix fan-out (plenty of ready tasks), the wavefront
+// ramps, the sparse stream serializes along dense clusters.
 
 #include <unistd.h>
 
@@ -73,8 +72,7 @@ int run() {
   engine::EngineParams params;
   params.num_workers = 16;
   for (const auto& name : names) {
-    for (const std::string engine :
-         {"software-rts", "nexus++", "nexus-banked"}) {
+    for (const std::string engine : {"software-rts", "nexus++"}) {
       engine::PointSpec p;
       p.engine = engine;
       p.workload = name;

@@ -1,17 +1,14 @@
 // Bank-scaling study: how dependence-resolution throughput responds to
 // splitting the Dependence Table into address-interleaved banks.
 //
-// One grid: {nexus++, nexus-banked x banks in {1, 2, 4, 8, 16}} on the
-// gaussian-elimination, halo-stencil, and mixed-granularity-tiles
-// workloads, 16 workers, range matching (the mode with real multi-entry
-// registration pressure; the overlap workloads exercise the multi-bank
-// registration rule). Series baseline = nexus++, so the speedup column
-// reads directly as "banked vs monolithic".
+// One grid: nexus++ x banks in {1, 2, 4, 8, 16} on the gaussian-
+// elimination, halo-stencil, and mixed-granularity-tiles workloads, 16
+// workers, range matching (the mode with real multi-entry registration
+// pressure; the overlap workloads exercise the multi-bank registration
+// rule). Series baseline = the paper's monolithic table (banks=1), so the
+// speedup column reads directly as "banked vs monolithic".
 //
-// Three things to read off the table:
-//   parity    — nexus-banked @ 1 bank must match nexus++ exactly (it is
-//               bit-identical; the differential tests enforce it, this
-//               bench shows it in the same row set).
+// Two things to read off the table:
 //   scaling   — conflict wait (cycles operations queued behind a busy
 //               bank) falls as banks grow, and Check Deps / Handle
 //               Finished rounds shorten toward the longest single-bank
@@ -68,25 +65,18 @@ int run() {
 
   for (const char* workload :
        {"gaussian", "halo-stencil", "mixed-tiles", "fine-halo"}) {
-    // Monolithic reference first: the series baseline every banked point's
-    // speedup is computed against.
-    engine::PointSpec mono;
-    mono.engine = "nexus++";
-    mono.workload = workload;
-    mono.params = base;
-    mono.series = workload;
-    mono.baseline = true;
-    mono.label = "nexus++ (monolithic)";
-    spec.point(mono);
-
+    // banks=1, the paper's monolithic table, is the series baseline every
+    // banked point's speedup is computed against.
     for (const std::uint32_t banks : {1u, 2u, 4u, 8u, 16u}) {
       engine::PointSpec p;
-      p.engine = "nexus-banked";
+      p.engine = "nexus++";
       p.workload = workload;
       p.params = base;
       p.params.banks = banks;
       p.series = workload;
-      p.label = std::to_string(banks) + (banks == 1 ? " bank" : " banks");
+      p.baseline = banks == 1;
+      p.label = banks == 1 ? "nexus++ (monolithic)"
+                           : std::to_string(banks) + " banks";
       spec.point(p);
     }
   }
@@ -97,32 +87,25 @@ int run() {
       "Dependence-table bank scaling (range matching, 16 workers)", results,
       {{"conflict wait",
         [](const engine::SweepResult& r) {
-          return r.report.banks == 0
-                     ? std::string("-")
-                     : util::fmt_ns(sim::to_ns(r.report.bank_conflict_wait));
+          return util::fmt_ns(sim::to_ns(r.report.bank_conflict_wait));
         }},
        {"imbalance busy/occ",
         [](const engine::SweepResult& r) {
-          return r.report.banks == 0
-                     ? std::string("-")
-                     : util::fmt_f(r.report.bank_busy_imbalance, 2) + "/" +
-                           util::fmt_f(r.report.bank_occupancy_imbalance, 2);
+          return util::fmt_f(r.report.bank_busy_imbalance, 2) + "/" +
+                 util::fmt_f(r.report.bank_occupancy_imbalance, 2);
         }},
        {"peak bank live", [](const engine::SweepResult& r) {
-          return r.report.banks == 0
-                     ? std::string("-")
-                     : util::fmt_count(r.report.bank_peak_live);
+          return util::fmt_count(r.report.bank_peak_live);
         }}});
 
   bench::note(
-      "Expected shape: the 1-bank row reproduces the nexus++ baseline "
-      "exactly (banks=1 is bit-identical). Conflict wait falls steeply "
-      "with the bank count while the occupancy imbalance column grows — "
-      "the hashed interleave spreads traffic, not hot addresses. Makespan "
-      "speedup appears only where dependency resolution bounds the run: "
-      "fine-halo (sub-microsecond tasks) gains steadily with banks, while "
-      "the coarse-grain workloads keep their worker-bound makespans and "
-      "only shed conflict wait.\n");
+      "Expected shape: conflict wait falls steeply with the bank count "
+      "while the occupancy imbalance column grows — the hashed interleave "
+      "spreads traffic, not hot addresses. Makespan speedup appears only "
+      "where dependency resolution bounds the run: fine-halo "
+      "(sub-microsecond tasks) gains steadily with banks, while the "
+      "coarse-grain workloads keep their worker-bound makespans and only "
+      "shed conflict wait.\n");
   return 0;
 }
 

@@ -14,8 +14,8 @@
 // Usage: design_space [--workload=<spec>] [--trace=<file>]
 //                     [--param=workers|depth|tp|dt|kickoff|banks|threads|
 //                       sync|pattern|kernel]
-//                     [--engine=nexus++|classic-nexus|nexus-banked|
-//                       software-rts|exec-threads]
+//                     [--engine=nexus++|classic-nexus|software-rts|
+//                       exec-threads]
 //                     [--match-mode=base-addr|range] [--banks=N]
 //                     [--threads=N] [--sync=mutex|lockfree]
 //                     [--kernel=spin|compute|memory|imbalance|dgemm]
@@ -60,12 +60,11 @@ int main(int argc, char** argv) {
   const std::string param = flags.get_or("param", "workers");
   std::string workload = flags.get_or(
       "workload", param == "pattern" ? "pattern" : "h264");
-  // Sweeping the banks axis only makes sense on the banked engine, and the
-  // threads/kernel axes on the real executor; default accordingly so
-  // `--param=banks` / `--param=threads` work bare.
+  // The threads/sync/kernel axes only make sense on the real executor;
+  // default accordingly so `--param=threads` works bare. Every other axis,
+  // banks included, defaults to nexus++.
   const std::string engine_name = flags.get_or(
-      "engine", param == "banks" ? "nexus-banked"
-                : param == "threads" || param == "sync" || param == "kernel"
+      "engine", param == "threads" || param == "sync" || param == "kernel"
                     ? "exec-threads"
                     : "nexus++");
   const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 64));

@@ -13,11 +13,11 @@
 // banks.
 //
 // With one bank every operation queues behind every other, the max horizon
-// equals the serial sum, and the charged delays reproduce the monolithic
-// Task Maestro cycle-for-cycle — which is what makes `nexus-banked` with
-// banks=1 bit-identical to `nexus++`. As banks grow, rounds shorten toward
-// the longest single-bank chain and the conflict-wait telemetry falls —
-// the two curves the bank-scaling bench plots.
+// equals the serial sum, and the charged delays reproduce the paper's
+// monolithic Task Maestro cycle-for-cycle — which is why banks=1 is the
+// paper's configuration of nexus::NexusSystem. As banks grow, rounds
+// shorten toward the longest single-bank chain and the conflict-wait
+// telemetry falls — the two curves the bank-scaling bench plots.
 //
 // BankUsage is the run-global accounting sink shared by all blocks: busy
 // cycles, conflict waits and operation counts per bank, from which the

@@ -14,7 +14,8 @@
 // With banks == 1 the single bank is configured exactly like the monolithic
 // table (same capacity, same kick-off bound, same match mode), so every
 // lookup walks identical hash chains and returns identical Cost receipts —
-// the base of the `nexus-banked`-equals-`nexus++` differential guarantee.
+// the base of nexus::NexusSystem reproducing the paper's monolithic table
+// at banks=1.
 
 #include <cstdint>
 #include <vector>

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "bank/system.hpp"
 #include "nexus/system.hpp"
 #include "obs/critical_path.hpp"
 
@@ -105,7 +104,7 @@ nexus::NexusConfig NexusEngine::apply(nexus::NexusConfig base,
 
 namespace {
 
-/// Shared SystemReport -> RunReport mapping for both Nexus adapters.
+/// SystemReport -> RunReport mapping for every Nexus configuration.
 RunReport from_system_report(const nexus::SystemReport& src,
                              std::string engine_name,
                              const nexus::NexusConfig& cfg) {
@@ -142,6 +141,12 @@ RunReport from_system_report(const nexus::SystemReport& src,
   r.dt_lookups = src.dt_stats.lookups;
   r.dt_lookup_probes = src.dt_stats.lookup_probes;
   r.sim_events = src.sim_events;
+  r.banks = src.banks;
+  r.bank_conflict_wait = src.bank_conflict_wait;
+  r.bank_busy_imbalance = src.bank_busy_imbalance;
+  r.bank_occupancy_imbalance = src.bank_occupancy_imbalance;
+  r.bank_peak_live = src.bank_peak_live;
+  r.per_bank_max_live = src.per_bank_max_live;
   return r;
 }
 
@@ -159,31 +164,6 @@ RunReport NexusEngine::run(std::unique_ptr<trace::TaskStream> stream) const {
   const nexus::SystemReport src =
       nexus::run_system(cfg, std::move(stream), /*require_success=*/false);
   RunReport r = from_system_report(src, name_, cfg);
-  if (rec != nullptr) attach_timeline(r, std::move(*rec));
-  return r;
-}
-
-// --- BankedNexusEngine --------------------------------------------------------
-
-RunReport BankedNexusEngine::run(
-    std::unique_ptr<trace::TaskStream> stream) const {
-  nexus::NexusConfig cfg = cfg_;
-  std::unique_ptr<obs::TimelineRecorder> rec;
-  if (cfg.timeline.enabled) {
-    rec = std::make_unique<obs::TimelineRecorder>(
-        name(), "sim", cfg.timeline.events_per_track);
-    cfg.timeline_recorder = rec.get();
-  }
-  const bank::BankedSystemReport src = bank::run_banked_system(
-      cfg, std::move(stream), /*require_success=*/false);
-
-  RunReport r = from_system_report(src.system, name(), cfg);
-  r.banks = src.banks;
-  r.bank_conflict_wait = src.bank_conflict_wait;
-  r.bank_busy_imbalance = src.bank_busy_imbalance;
-  r.bank_occupancy_imbalance = src.bank_occupancy_imbalance;
-  r.bank_peak_live = src.bank_peak_live;
-  r.per_bank_max_live = src.per_bank_max_live;
   if (rec != nullptr) attach_timeline(r, std::move(*rec));
   return r;
 }

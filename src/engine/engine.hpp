@@ -11,10 +11,10 @@
 //   nexus++       — the paper's hardware task manager (dummy tasks, dummy
 //                   entries, arbitrary-depth task buffering)
 //   classic-nexus — the original Nexus baseline (5-param descriptors, no
-//                   dummy mechanisms, no worker-side buffering)
-//   nexus-banked  — Nexus++ with the Dependence Table split into N
-//                   address-interleaved banks (src/bank/); banks=1 is
-//                   bit-identical to nexus++
+//                   dummy mechanisms, no worker-side buffering).
+//                   Both Nexus engines split the Dependence Table into
+//                   `banks` address-interleaved banks (src/bank/); the
+//                   default banks=1 is the paper's monolithic table.
 //   software-rts  — the software StarSs runtime the hardware exists to beat
 //   exec-threads  — the real concurrent executor (src/exec/): worker
 //                   threads running spin-calibrated kernels, dependency
@@ -48,9 +48,9 @@ struct EngineParams {
   std::uint32_t dep_table_capacity = 0;  ///< entries
   std::uint32_t kick_off_capacity = 0;   ///< ids per kick-off list
   std::uint32_t tds_buffer_capacity = 0; ///< master-side TD buffer
-  /// Dependence-table banks: the `nexus-banked` engine's scaling axis and
-  /// the `exec-threads` engine's resolver lock-shard count; other engines
-  /// ignore it. 0 keeps the config default of 1.
+  /// Dependence-table banks: the DT bank count of `nexus++` and
+  /// `classic-nexus` and the `exec-threads` engine's resolver lock-shard
+  /// count; software-rts ignores it. 0 keeps the config default of 1.
   std::uint32_t banks = 0;
   /// Worker threads of the real executor (`exec-threads` only; simulated
   /// engines ignore it). 0 defaults to num_workers, so worker-count sweeps
@@ -73,8 +73,8 @@ struct EngineParams {
   std::optional<core::MatchMode> match_mode;
   /// Task-timeline tracing (src/obs/). When enabled the run's RunReport
   /// carries a Chrome-trace-exportable timeline plus the derived obs_*
-  /// critical-path columns. Honoured by nexus++, classic-nexus,
-  /// nexus-banked and exec-threads; software-rts ignores it.
+  /// critical-path columns. Honoured by nexus++, classic-nexus and
+  /// exec-threads; software-rts ignores it.
   obs::TimelineOptions timeline;
 
   /// Compact human-readable description of the non-default knobs.
@@ -104,7 +104,8 @@ class Engine {
 };
 
 /// Adapter over nexus::NexusSystem. Works for both Nexus++ and classic
-/// Nexus — the difference is entirely in the base NexusConfig.
+/// Nexus — the difference is entirely in the base NexusConfig — at any
+/// bank count (NexusConfig::banks).
 class NexusEngine final : public Engine {
  public:
   NexusEngine(std::string name, nexus::NexusConfig config)
@@ -124,25 +125,6 @@ class NexusEngine final : public Engine {
 
  private:
   std::string name_;
-  nexus::NexusConfig cfg_;
-};
-
-/// Adapter over bank::BankedNexusSystem — Nexus++ with N dependence-table
-/// banks. The `banks` / `bank_region_bytes` knobs live on NexusConfig.
-class BankedNexusEngine final : public Engine {
- public:
-  explicit BankedNexusEngine(nexus::NexusConfig config)
-      : cfg_(std::move(config)) {}
-
-  [[nodiscard]] std::string name() const override { return "nexus-banked"; }
-  [[nodiscard]] RunReport run(
-      std::unique_ptr<trace::TaskStream> stream) const override;
-
-  [[nodiscard]] const nexus::NexusConfig& config() const noexcept {
-    return cfg_;
-  }
-
- private:
   nexus::NexusConfig cfg_;
 };
 

@@ -55,11 +55,6 @@ EngineRegistry EngineRegistry::with_builtins() {
                 "classic-nexus",
                 NexusEngine::apply(nexus::NexusConfig::classic_nexus(), p));
           });
-  reg.add("nexus-banked",
-          [](const EngineParams& p) -> std::unique_ptr<Engine> {
-            return std::make_unique<BankedNexusEngine>(
-                NexusEngine::apply(nexus::NexusConfig{}, p));
-          });
   reg.add("software-rts",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
             return std::make_unique<SoftwareRtsEngine>(

@@ -150,8 +150,8 @@ struct RunReport {
   /// math — speedup_vs() compares makespans only.
   double metg_ns = 0.0;
 
-  // --- Dependence-table banking (nexus-banked + exec-threads lock shards;
-  // banks == 0 elsewhere) ------------------------------------------------------
+  // --- Dependence-table banking (nexus++ / classic-nexus DT banks and
+  // exec-threads lock shards; banks == 0 for software-rts) ---------------------
   std::uint32_t banks = 0;
   /// Cycles table operations spent queued behind a busy bank (the arbiter's
   /// conflict stall total).

@@ -25,12 +25,11 @@ struct NexusConfig {
   core::TaskPoolConfig task_pool{};        ///< 1K descriptors, 8 params
   core::DependenceTableConfig dep_table{}; ///< 4K entries, 8-id kick-off
 
-  // --- Dependence-table banking (bank::BankedNexusSystem only) ---------------
-  /// Number of independent Dependence Table banks. The monolithic
-  /// NexusSystem ignores this; the `nexus-banked` engine splits
+  // --- Dependence-table banking ----------------------------------------------
+  /// Number of independent Dependence Table banks: NexusSystem splits
   /// dep_table.capacity evenly across this many banks behind a home-region
-  /// address partition (see src/bank/partition.hpp). 1 = bit-identical to
-  /// the monolithic system.
+  /// address partition (see src/bank/partition.hpp). 1 = the paper's
+  /// monolithic table.
   std::uint32_t banks = 1;
   /// Home-region size of the bank partition (power of two bytes).
   std::uint32_t bank_region_bytes = 256;

@@ -44,6 +44,14 @@ util::Table SystemReport::to_table(const std::string& title) const {
            util::fmt_ns(turnaround_ns.mean()) + " / " +
                util::fmt_ns(turnaround_ns.max())});
   }
+  if (banks > 1) {
+    t.row({"DT banks / conflict wait",
+           util::fmt_count(banks) + " / " +
+               util::fmt_ns(sim::to_ns(bank_conflict_wait))});
+    t.row({"bank busy / occupancy imbalance",
+           util::fmt_f(bank_busy_imbalance, 2) + " / " +
+               util::fmt_f(bank_occupancy_imbalance, 2)});
+  }
   t.row({"ready queue peak", util::fmt_count(ready_queue_peak)});
   t.row({"sim events", util::fmt_count(sim_events)});
   return t;

@@ -1,10 +1,12 @@
 #pragma once
 // Result of one Nexus++ system simulation: makespan, completion status,
-// per-block utilization and table statistics. Everything a benchmark needs
-// to compute speedups and everything a test needs to assert on behaviour.
+// per-block utilization, table statistics and dependence-table bank
+// telemetry. Everything a benchmark needs to compute speedups and
+// everything a test needs to assert on behaviour.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/dependence_table.hpp"
 #include "core/resolver.hpp"
@@ -55,6 +57,14 @@ struct SystemReport {
   hw::Bus::Stats bus_stats;
   std::uint32_t dt_max_live = 0;  ///< == dt_stats.max_live_slots, convenience
   std::uint64_t sim_events = 0;
+
+  // --- Dependence-table banks (see bank::BankUsage / bank::BankedTable) ------
+  std::uint32_t banks = 1;
+  sim::Time bank_conflict_wait = 0;  ///< total wait behind busy banks
+  double bank_busy_imbalance = 0.0;  ///< max/mean per-bank busy time
+  double bank_occupancy_imbalance = 0.0;  ///< max/mean live highwater
+  std::uint32_t bank_peak_live = 0;  ///< hottest bank's live highwater
+  std::vector<std::uint32_t> per_bank_max_live;
 
   /// Wall-clock speedup of this run relative to a baseline makespan.
   [[nodiscard]] double speedup_vs(const SystemReport& single_core) const {

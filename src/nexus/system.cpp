@@ -14,6 +14,14 @@ NexusConfig validated(NexusConfig cfg) {
   return cfg;
 }
 
+bank::BankedTableConfig banked_table_config(const NexusConfig& cfg) {
+  bank::BankedTableConfig out;
+  out.table = cfg.dep_table;
+  out.partition.banks = cfg.banks;
+  out.partition.region_bytes = cfg.bank_region_bytes;
+  return out;
+}
+
 /// "C3RdyTasks"-style names. Built with += because GCC 12 emits a bogus
 /// -Wrestrict for `"lit" + std::to_string(x) + "lit"` (gcc PR 105651).
 std::string indexed_name(const char* prefix, std::uint32_t index,
@@ -31,10 +39,13 @@ NexusSystem::NexusSystem(NexusConfig config,
     : cfg_(validated(std::move(config))),
       stream_(std::move(stream)),
       tp_(cfg_.task_pool),
-      dt_(cfg_.dep_table),
+      dt_(banked_table_config(cfg_)),
       resolver_(tp_, dt_),
       memory_(sim_, cfg_.memory),
       master_bus_(sim_, cfg_.master_bus),
+      bank_usage_(cfg_.banks),
+      check_sched_(cfg_.banks),
+      finish_sched_(cfg_.banks),
       tds_buffer_(sim_, cfg_.tds_buffer_capacity, "TDs buffer"),
       new_tasks_(sim_, cfg_.resolved_new_tasks_capacity(), "New Tasks"),
       global_ready_(sim_, cfg_.resolved_global_ready_capacity(),
@@ -190,15 +201,23 @@ sim::Co<void> NexusSystem::check_deps_process() {
       obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
                  serial);
     }
+    // One arbiter round per task: parameters resolve in parallel across
+    // their home banks, serializing only where they collide on a bank. The
+    // block advances by the round-completion delta each parameter adds.
+    check_sched_.reset();
     for (const auto& param : rp.params) {
       for (;;) {
         auto pr = resolver_.process_param(id, param);
-        const sim::Time t = access_time(pr.cost);
-        check_deps_busy_ += t;
+        sim::Time delta = 0;
+        for (const auto& bc : pr.costs) {
+          delta += check_sched_.charge(bc.bank, access_time(bc.cost),
+                                       bank_usage_);
+        }
+        check_deps_busy_ += delta;
         const sim::Time seg_start = sim_.now();
-        co_await sim_.delay(t);
-        obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
-                   serial);
+        co_await sim_.delay(delta);
+        obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start,
+                   delta, serial);
         if (pr.outcome != core::Resolver::ParamOutcome::kNeedSpace) break;
         if (pr.structural) {
           fatal("Check Deps: kick-off list overflow without dummy entries "
@@ -285,14 +304,30 @@ sim::Co<void> NexusSystem::handle_finished_process() {
       throw std::logic_error("Handle Finished: signal without a task");
     }
     const TaskId id = *id_opt;
-    // Serial must be read before free_task below invalidates the slot.
-    const std::uint64_t serial = tp_.serial(id);
     turnaround_ns_.add(
         sim::to_ns(sim_.now() - timing_by_slot_[id].submitted_at));
 
-    auto fr = resolver_.finish(id);
+    // One arbiter round per finished task: release walks spread over their
+    // banks, then one delay — read-params plus the round's max horizon plus
+    // the descriptor free. With one bank the round is the walks' serial sum.
+    // Serial must be read before free_task below invalidates the slot.
+    const std::uint64_t serial = tp_.serial(id);
+    auto rp = tp_.read_params(id);
+    finish_sched_.reset();
+    std::vector<TaskId> now_ready;
+    sim::Time round = 0;
+    for (const auto& param : rp.params) {
+      auto fr = resolver_.finish_param(id, param);
+      for (const auto& bc : fr.costs) {
+        round += finish_sched_.charge(bc.bank, access_time(bc.cost),
+                                      bank_usage_);
+      }
+      now_ready.insert(now_ready.end(), fr.now_ready.begin(),
+                       fr.now_ready.end());
+    }
     auto free_cost = tp_.free_task(id);
-    const sim::Time t = access_time(fr.cost) + access_time(free_cost) +
+    const sim::Time t = access_time(rp.cost) + round +
+                        access_time(free_cost) +
                         cycles(cfg_.block_overhead_cycles);
     handle_finished_busy_ += t;
     const sim::Time seg_start = sim_.now();
@@ -310,13 +345,13 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     // Return the worker token before publishing ready tasks so Schedule can
     // always drain the Global Ready list (no token/space cycle).
     co_await worker_ids_.put(static_cast<std::uint32_t>(worker));
-    for (const TaskId ready : fr.now_ready) {
+    for (const TaskId ready : now_ready) {
       // Grant edge: this finish made `ready` runnable.
       obs_record(obs_trk_handle_fin_, obs::EventKind::kReady, sim_.now(), 0,
                  tp_.serial(ready), serial);
       co_await global_ready_.put(ready);
     }
-    if (!fr.now_ready.empty()) {
+    if (!now_ready.empty()) {
       obs_record(obs_trk_handle_fin_, obs::EventKind::kReadyDepth, sim_.now(),
                  0, 0, global_ready_.size());
     }
@@ -393,8 +428,12 @@ SystemReport NexusSystem::run() {
       os << "no progress possible: submitted " << submitted_ << "/"
          << expected_ << ", completed " << completed_
          << "; TP used " << tp_.used_slot_count() << "/" << tp_.capacity()
-         << ", DT live " << dt_.live_slot_count() << "/" << dt_.capacity()
-         << ", ready queue " << global_ready_.size() << ", new tasks "
+         << ", DT live " << dt_.live_slot_count() << "/"
+         << dt_.bank_count() * dt_.bank(0).capacity();
+      if (dt_.bank_count() > 1) {
+        os << " over " << dt_.bank_count() << " banks";
+      }
+      os << ", ready queue " << global_ready_.size() << ", new tasks "
          << new_tasks_.size() << ", TDs buffered " << tds_buffer_.size();
     }
     report.diagnosis = os.str();
@@ -420,12 +459,22 @@ SystemReport NexusSystem::run() {
   report.turnaround_ns = turnaround_ns_;
   report.ready_queue_peak = global_ready_.stats().max_occupancy;
   report.tp_stats = tp_.stats();
-  report.dt_stats = dt_.stats();
-  report.resolver_stats = resolver_.stats();
+  report.dt_stats = dt_.aggregated_stats();
+  report.resolver_stats = resolver_.aggregated_stats();
   report.mem_stats = memory_.stats();
   report.bus_stats = master_bus_.stats();
-  report.dt_max_live = dt_.stats().max_live_slots;
+  report.dt_max_live = report.dt_stats.max_live_slots;
   report.sim_events = sim_.events_executed();
+
+  report.banks = cfg_.banks;
+  report.bank_conflict_wait = bank_usage_.total_conflict_wait();
+  report.bank_busy_imbalance = bank_usage_.busy_imbalance();
+  report.bank_peak_live = dt_.peak_bank_live();
+  report.bank_occupancy_imbalance = dt_.occupancy_imbalance();
+  report.per_bank_max_live.reserve(dt_.bank_count());
+  for (std::uint32_t b = 0; b < dt_.bank_count(); ++b) {
+    report.per_bank_max_live.push_back(dt_.bank(b).stats().max_live_slots);
+  }
   return report;
 }
 

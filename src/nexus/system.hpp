@@ -28,19 +28,24 @@
 // starved, table occupancies, fatal structural errors such as classic-Nexus
 // kick-off overflow).
 //
-// NOTE: bank::BankedNexusSystem (src/bank/system.cpp) keeps every block
-// except Check Deps and Handle Finished line-for-line identical to this
-// file, and its banks=1 configuration is required to stay *bit-identical*
-// to this system (tests/bank_system_test.cpp). A fix to any block here
-// must be mirrored there.
+// The Dependence Table is NexusConfig::banks address-interleaved banks
+// (bank::BankedTable, resolved through bank::BankedResolver). Check Deps
+// and Handle Finished charge each parameter's table operations on its home
+// bank through a per-block bank::RoundSchedule: operations on different
+// banks of one round (a task's registration, or one finished task's
+// release walks) overlap, operations on the same bank serialize, and the
+// block advances by the round's max horizon. With banks=1 — the paper's
+// monolithic table, and the default — every horizon delta equals the
+// serial access cost, so the blocks charge exactly the paper's serial sums.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/dependence_table.hpp"
-#include "core/resolver.hpp"
+#include "bank/arbiter.hpp"
+#include "bank/banked_table.hpp"
+#include "bank/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "hw/bus.hpp"
 #include "hw/memory.hpp"
@@ -71,7 +76,7 @@ class NexusSystem {
     sim::Time exec = 0;
     std::uint64_t read_bytes = 0;
     std::uint64_t write_bytes = 0;
-    core::Addr addr = 0;  ///< representative address for bank striping
+    core::Addr addr = 0;  ///< representative address for memory-bank striping
     sim::Time submitted_at = 0;  ///< for turnaround accounting
   };
 
@@ -114,10 +119,16 @@ class NexusSystem {
 
   sim::Simulator sim_;
   core::TaskPool tp_;
-  core::DependenceTable dt_;
-  core::Resolver resolver_;
+  bank::BankedTable dt_;
+  bank::BankedResolver resolver_;
   hw::Memory memory_;
   hw::Bus master_bus_;
+
+  // Bank arbiter state: one round schedule per requesting block, one shared
+  // usage sink.
+  bank::BankUsage bank_usage_;
+  bank::RoundSchedule check_sched_;
+  bank::RoundSchedule finish_sched_;
 
   // FIFO lists (paper Fig. 2). Unique_ptr: Fifo is pinned (self-referencing
   // waiters) and the per-worker lists are built at run time.

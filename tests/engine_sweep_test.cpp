@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "engine/sweep.hpp"
 #include "nexus/system.hpp"
@@ -114,10 +115,9 @@ TEST(RunningStatsPercentiles, MergeWeightsBySampleCount) {
 TEST(EngineRegistry, BuiltinsAndUnknownName) {
   const auto& reg = engine::EngineRegistry::builtins();
   const auto names = reg.names();
-  ASSERT_EQ(names.size(), 5u);
+  ASSERT_EQ(names.size(), 4u);
   EXPECT_TRUE(reg.contains("nexus++"));
   EXPECT_TRUE(reg.contains("classic-nexus"));
-  EXPECT_TRUE(reg.contains("nexus-banked"));
   EXPECT_TRUE(reg.contains("software-rts"));
   EXPECT_TRUE(reg.contains("exec-threads"));
   EXPECT_THROW((void)reg.make("no-such-engine", {}), std::out_of_range);
@@ -458,8 +458,10 @@ TEST(RunReport, WorkerUtilizationCsvCellIsOneScalarAndJsonCarriesPerWorker) {
 
 TEST(SweepDriver, PatternWorkloadsAcrossEnginesAndModes) {
   // Three structurally distinct task-bench grids through three simulated
-  // engines under both match modes — the dependence shapes are exercised
-  // end to end, not just by the generator's own oracle test.
+  // engine configurations (nexus++ with the monolithic and a 4-bank
+  // Dependence Table, software-rts) under both match modes — the
+  // dependence shapes are exercised end to end, not just by the
+  // generator's own oracle test.
   engine::SweepSpec spec;
   const std::vector<workloads::PatternKind> kinds = {
       workloads::PatternKind::kStencil1D, workloads::PatternKind::kFft,
@@ -474,7 +476,9 @@ TEST(SweepDriver, PatternWorkloadsAcrossEnginesAndModes) {
       return workloads::make_pattern_stream(tasks);
     });
   }
-  for (const char* eng : {"nexus++", "nexus-banked", "software-rts"}) {
+  const std::pair<const char*, std::uint32_t> engines[] = {
+      {"nexus++", 0}, {"nexus++", 4}, {"software-rts", 0}};
+  for (const auto& [eng, banks] : engines) {
     for (const core::MatchMode mode :
          {core::MatchMode::kBaseAddr, core::MatchMode::kRange}) {
       for (const auto kind : kinds) {
@@ -482,6 +486,7 @@ TEST(SweepDriver, PatternWorkloadsAcrossEnginesAndModes) {
         p.engine = eng;
         p.workload = workloads::to_string(kind);
         p.params.num_workers = 4;
+        p.params.banks = banks;
         p.params.match_mode = mode;
         spec.point(p);
       }

@@ -180,16 +180,20 @@ TEST(EngineTimeline, SimEngineDeterministicAcrossRepeatedRuns) {
 }
 
 TEST(EngineTimeline, TracingIsBehaviorNeutralOnSimEngines) {
-  for (const char* name : {"nexus++", "nexus-banked"}) {
+  for (const std::uint32_t banks : {1u, 4u}) {
     engine::EngineParams off;
     off.num_workers = 4;
-    const auto r_off = run_engine(name, off);
-    const auto r_on = run_engine(name, traced_params(4));
+    off.banks = banks;
+    engine::EngineParams on = traced_params(4);
+    on.banks = banks;
+    const auto r_off = run_engine("nexus++", off);
+    const auto r_on = run_engine("nexus++", on);
     // The hooks never touch simulated state: identical makespan and event
     // count with tracing on or off.
-    EXPECT_EQ(r_on.makespan, r_off.makespan) << name;
-    EXPECT_EQ(r_on.sim_events, r_off.sim_events) << name;
-    EXPECT_EQ(r_on.tasks_completed, r_off.tasks_completed) << name;
+    EXPECT_EQ(r_on.makespan, r_off.makespan) << "banks=" << banks;
+    EXPECT_EQ(r_on.sim_events, r_off.sim_events) << "banks=" << banks;
+    EXPECT_EQ(r_on.tasks_completed, r_off.tasks_completed)
+        << "banks=" << banks;
   }
 }
 

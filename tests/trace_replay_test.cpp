@@ -114,7 +114,7 @@ TEST(TraceCapture, StampsMachineReadableKnobsForReplay) {
   params.match_mode = core::MatchMode::kRange;
   params.banks = 4;
 
-  const auto eng = registry.make("nexus-banked", params);
+  const auto eng = registry.make("nexus++", params);
   const auto captured = engine::run_captured(
       *eng, library.make_stream(kWorkload), &params, kWorkload);
   EXPECT_EQ(captured.trace.meta.get(trace::TraceMeta::kWorkers), "8");
@@ -127,7 +127,7 @@ TEST(TraceCapture, StampsMachineReadableKnobsForReplay) {
   rebuilt.match_mode = core::match_mode_from_string(
       *captured.trace.meta.get(trace::TraceMeta::kMatchMode));
   rebuilt.banks = 4;
-  EXPECT_EQ(engine::replay(captured.trace, registry, "nexus-banked", rebuilt),
+  EXPECT_EQ(engine::replay(captured.trace, registry, "nexus++", rebuilt),
             captured.report);
 }
 
