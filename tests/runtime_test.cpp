@@ -30,18 +30,23 @@ TEST(Runtime, RawOrdering) {
   Runtime rt(4);
   int a = 0;
   int b = 0;
+  std::atomic<bool> consumer_submitted{false};
   rt.submit(
-      [&a] {
-        // Dwell so the consumer is submitted while the producer still
-        // runs (otherwise no RAW edge is needed and none is counted).
+      [&a, &consumer_submitted] {
+        // Dwell until the consumer is submitted while the producer still
+        // runs (otherwise no RAW edge is needed and none is counted). A
+        // fixed dwell loses that race when the submitting thread is
+        // descheduled; the cap only guards against a hang.
         const auto start = std::chrono::steady_clock::now();
-        while (std::chrono::steady_clock::now() - start <
-               std::chrono::milliseconds(5)) {
+        while (!consumer_submitted.load() &&
+               std::chrono::steady_clock::now() - start <
+                   std::chrono::seconds(10)) {
         }
         a = 7;
       },
       {starss::out(&a)});
   rt.submit([&a, &b] { b = a * 2; }, {starss::in(&a), starss::out(&b)});
+  consumer_submitted.store(true);
   rt.wait_all();
   EXPECT_EQ(b, 14);
   EXPECT_GE(rt.stats().raw_hazards, 1u);
