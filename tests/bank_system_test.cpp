@@ -21,7 +21,6 @@
 
 #include "engine/sweep.hpp"
 #include "nexus/system.hpp"
-#include "workloads/gaussian.hpp"
 #include "workloads/grid.hpp"
 #include "workloads/overlap.hpp"
 #include "workloads/random_dag.hpp"
